@@ -5,8 +5,7 @@
 //	taexp [flags] [fig1 fig2 fig3 table1 table2 fig6 fig7 fig8 ablations scorecard]
 //
 // The additional "fig8sweep" experiment (not in the default set) extends
-// Fig. 8 along the 0–100 °C ambient axis per benchmark; with -sweep-batch
-// its ambient lanes run in lockstep through the batched guardband engine.
+// Fig. 8 along the 0–100 °C ambient axis per benchmark.
 // The additional "thermalcompare" experiment (also not in the default set)
 // takes every benchmark through the full Algorithm-1 guardband twice —
 // thermally-oblivious vs thermal-aware placement under -thermal-weight /
@@ -26,8 +25,6 @@
 //	-bench csv  restrict Fig. 6/7/8 to a comma-separated benchmark list
 //	-csv dir    also write machine-readable CSVs into dir
 //	-parallel n benchmark fan-out workers (0 = GOMAXPROCS, 1 = serial)
-//	-sweep-batch n  lockstep lanes per batched guardband dispatch in sweep
-//	            experiments; per-lane results bit-identical (0/1 = serial)
 //	-timeout d  abort after this duration (0 = none); benchmark-suite
 //	            experiments still print and write the CSV rows that finished
 //	-flowcache d   cache place-and-route results in directory d so repeated
@@ -69,7 +66,6 @@ func main() {
 	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	parallel := flag.Int("parallel", 0, "benchmark fan-out workers (0 = GOMAXPROCS, 1 = serial)")
 	routeWorkers := flag.Int("route-workers", 0, "PathFinder search workers per flow build; byte-identical results (0 = GOMAXPROCS, 1 = serial)")
-	sweepBatch := flag.Int("sweep-batch", 0, "lockstep lanes per batched guardband dispatch in sweep experiments; bit-identical per lane (0/1 = serial)")
 	flowcache := flag.String("flowcache", "", "directory for the on-disk place-and-route cache (reused across runs)")
 	thermalWeight := flag.Float64("thermal-weight", 0.25, "thermal objective weight for the thermalcompare experiment")
 	thermalRadius := flag.Int("thermal-radius", 0, "thermal kernel truncation radius in tiles (0 = default)")
@@ -132,7 +128,6 @@ func main() {
 	ctx.PlaceEffort = *effort
 	ctx.Workers = *parallel
 	ctx.RouteWorkers = *routeWorkers
-	ctx.SweepBatch = *sweepBatch
 	if *flowcache != "" {
 		ctx.FlowCache = flow.NewCache(*flowcache)
 	}

@@ -13,8 +13,6 @@
 //	-effort f      placement effort (default 1.0)
 //	-bench csv     restrict figure jobs to a comma-separated benchmark list
 //	-parallel n    per-job benchmark fan-out workers (0 = GOMAXPROCS)
-//	-sweep-batch n lockstep lanes per batched guardband dispatch in sweep
-//	               jobs; per-lane results bit-identical (0/1 = serial)
 //	-workers n     concurrent jobs (default 1)
 //	-queue n       queued-job bound before 429s (default 64)
 //	-ttl d         how long finished jobs stay retrievable (default 15m)
@@ -82,7 +80,6 @@ func main() {
 	benchCSV := flag.String("bench", "", "comma-separated benchmark subset for figure jobs")
 	parallel := flag.Int("parallel", 0, "per-job benchmark fan-out workers (0 = GOMAXPROCS)")
 	routeWorkers := flag.Int("route-workers", 0, "PathFinder search workers per flow build; byte-identical results (0 = GOMAXPROCS, 1 = serial)")
-	sweepBatch := flag.Int("sweep-batch", 0, "lockstep lanes per batched guardband dispatch in sweep jobs; bit-identical per lane (0/1 = serial)")
 	workers := flag.Int("workers", 1, "concurrent jobs")
 	queue := flag.Int("queue", 64, "queued-job bound")
 	ttl := flag.Duration("ttl", 15*time.Minute, "finished-job retention")
@@ -140,9 +137,7 @@ func main() {
 		PlaceEffort:   *effort,
 		BenchWorkers:  *parallel,
 		RouteWorkers:  *routeWorkers,
-		SweepBatch:    *sweepBatch,
 		FlowCacheDir:  *flowcache,
-		Obs:           reg,
 	}
 	if *benchCSV != "" {
 		cfg.Benchmarks = strings.Split(*benchCSV, ",")

@@ -70,11 +70,6 @@ type report struct {
 		P99  float64 `json:"p99"`
 		Mean float64 `json:"mean"`
 	} `json:"latency_s"`
-
-	// Batched-sweep activity, from the fleet's tafpgad_sweep_lanes
-	// histogram (zero when the daemons run with a serial sweep engine).
-	SweepBatches   float64 `json:"sweep_batches"`
-	SweepMeanLanes float64 `json:"sweep_mean_lanes"`
 }
 
 func main() {
@@ -204,22 +199,6 @@ func main() {
 		rep.LatencyS.P99 = round6(h.Quantile(0.99))
 		if h.Count > 0 {
 			rep.LatencyS.Mean = round6(h.Sum / float64(h.Count))
-		}
-	}
-
-	// Batched-sweep lanes: how many lockstep dispatches this run's sweep
-	// jobs issued and how wide they were, baseline-subtracted like the
-	// latency histogram.
-	if lh, ok := final.histogram("tafpgad_sweep_lanes"); ok {
-		h := lh
-		if bh, ok := base.histogram("tafpgad_sweep_lanes"); ok {
-			if err := subtract(&h, bh); err != nil {
-				fail("sweep-lane baseline subtraction: %v", err)
-			}
-		}
-		rep.SweepBatches = float64(h.Count)
-		if h.Count > 0 {
-			rep.SweepMeanLanes = round6(h.Sum / float64(h.Count))
 		}
 	}
 

@@ -63,21 +63,6 @@ func BenchmarkHotspotSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkHotspotSolveIterative measures the optimized Gauss-Seidel
-// fallback (precomputed neighbor lists), cold-started.
-func BenchmarkHotspotSolveIterative(b *testing.B) {
-	im := innerLoopFixture(b)
-	p := im.Power.Vector(100, hotTemps(im))
-	m := *im.Thermal
-	m.DisableDirect = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Solve(p, 25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkHotspotSolveReference measures the seed Gauss-Seidel solver.
 func BenchmarkHotspotSolveReference(b *testing.B) {
 	im := innerLoopFixture(b)
@@ -109,47 +94,6 @@ func BenchmarkSTAAnalyzeReference(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if rep := im.Timing.AnalyzeReference(temps); rep.PeriodPs <= 0 {
-			b.Fatal("degenerate probe")
-		}
-	}
-}
-
-// BenchmarkSTAIncrementalLocal measures the delta-layer analyzer on a
-// localized perturbation: each probe nudges one tile and re-analyzes, so
-// only the arcs reading that tile's delays are recomputed. Paired against
-// BenchmarkSTAAnalyzeLocal, the dense probe on the identical temperature
-// trajectory (the reports are bit-identical; only the work differs).
-func BenchmarkSTAIncrementalLocal(b *testing.B) {
-	im := innerLoopFixture(b)
-	temps := hotTemps(im)
-	inc := sta.NewIncremental(im.Timing)
-	if rep := inc.Analyze(temps); rep.PeriodPs <= 0 {
-		b.Fatal("degenerate warm-up probe")
-	}
-	n := im.Grid.NumTiles()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		temps[i%n] += 0.25
-		if rep := inc.Analyze(temps); rep.PeriodPs <= 0 {
-			b.Fatal("degenerate probe")
-		}
-	}
-}
-
-// BenchmarkSTAAnalyzeLocal is the dense "before" twin of
-// BenchmarkSTAIncrementalLocal: the same one-tile-per-probe trajectory,
-// re-analyzed from scratch every time.
-func BenchmarkSTAAnalyzeLocal(b *testing.B) {
-	im := innerLoopFixture(b)
-	temps := hotTemps(im)
-	if rep := im.Timing.Analyze(temps); rep.PeriodPs <= 0 {
-		b.Fatal("degenerate warm-up probe")
-	}
-	n := im.Grid.NumTiles()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		temps[i%n] += 0.25
-		if rep := im.Timing.Analyze(temps); rep.PeriodPs <= 0 {
 			b.Fatal("degenerate probe")
 		}
 	}
@@ -207,7 +151,7 @@ func TestSlacksIntoAllocationBound(t *testing.T) {
 }
 
 // BenchmarkGuardbandRun measures one complete Algorithm-1 run with the
-// optimized kernels (compiled STA, direct thermal solve, warm start).
+// optimized kernels (compiled STA, direct thermal solve).
 func BenchmarkGuardbandRun(b *testing.B) {
 	im := innerLoopFixture(b)
 	b.ResetTimer()
@@ -218,7 +162,6 @@ func BenchmarkGuardbandRun(b *testing.B) {
 		}
 		if i == b.N-1 {
 			b.ReportMetric(float64(res.Stats.STAProbes), "sta-probes")
-			b.ReportMetric(float64(res.Stats.ThermalSweeps), "gs-sweeps")
 		}
 	}
 }
@@ -233,62 +176,6 @@ func BenchmarkGuardbandRunReference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := im.Guardband(opts); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// sweepAmbients is the Fig. 6/7/8 temperature axis (0:100:10) both sweep
-// benchmarks traverse.
-func sweepAmbients() []float64 {
-	amb := make([]float64, 0, 11)
-	for t := 0.0; t <= 100; t += 10 {
-		amb = append(amb, t)
-	}
-	return amb
-}
-
-// BenchmarkGuardbandSweepSerial measures the serial ambient sweep: one
-// warm-started Algorithm-1 run per ambient, as GuardbandSweep executes it
-// without batching. The "before" half of the sweep-batching pair.
-func BenchmarkGuardbandSweepSerial(b *testing.B) {
-	im := innerLoopFixture(b)
-	ambients := sweepAmbients()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var seed []float64
-		for _, amb := range ambients {
-			opts := guardband.DefaultOptions(amb)
-			opts.ThermalSeed = seed
-			res, err := im.Guardband(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			seed = res.SeedTemps
-		}
-	}
-}
-
-// BenchmarkGuardbandSweepBatch measures the same ambient axis through the
-// batched engine at full width (batch = len(ambients)): one shared baseline
-// probe, SoA STA traversals, multi-RHS thermal solves, lanes retiring as
-// they converge. Every per-ambient result is bit-identical to the serial
-// sweep's.
-func BenchmarkGuardbandSweepBatch(b *testing.B) {
-	im := innerLoopFixture(b)
-	ambients := sweepAmbients()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := im.GuardbandBatch(ambients, guardband.DefaultOptions(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			var sum guardband.Stats
-			for _, r := range rs {
-				sum.Add(r.Stats)
-			}
-			b.ReportMetric(float64(sum.LockstepIters), "lockstep-rounds")
-			b.ReportMetric(float64(sum.RetiredEarly), "retired-early")
 		}
 	}
 }

@@ -232,45 +232,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-// TestGuardbandSweepInvariance: the warm-started ambient sweep must be
-// bit-identical to independent Guardband runs at each ambient — the seed is
-// a pure accelerator, never a result input.
-func TestGuardbandSweepInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-flow experiment")
-	}
-	c := testContext(t)
-	ambients := []float64{25, 45, 70}
-	swept, err := c.GuardbandSweep("sha", ambients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(swept) != len(ambients) {
-		t.Fatalf("expected %d results, got %d", len(ambients), len(swept))
-	}
-	im, err := c.Implementation("sha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, amb := range ambients {
-		cold, err := im.Guardband(guardband.DefaultOptions(amb))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := swept[i]
-		if r.FmaxMHz != cold.FmaxMHz || r.BaselineMHz != cold.BaselineMHz ||
-			r.Iterations != cold.Iterations || r.RiseC != cold.RiseC ||
-			r.SpreadC != cold.SpreadC || r.Converged != cold.Converged {
-			t.Fatalf("sweep at %g°C diverged from cold run:\nswept %+v\ncold  fmax=%g base=%g iters=%d rise=%g spread=%g conv=%t",
-				amb, r, cold.FmaxMHz, cold.BaselineMHz, cold.Iterations, cold.RiseC, cold.SpreadC, cold.Converged)
-		}
-	}
-	// Hotter ambients must clock lower — the sweep is ordered.
-	if !(swept[0].FmaxMHz > swept[1].FmaxMHz && swept[1].FmaxMHz > swept[2].FmaxMHz) {
-		t.Fatalf("sweep clocks not ordered by ambient: %+v", swept)
-	}
-}
-
 func TestImplementationCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow experiment")
@@ -382,62 +343,116 @@ func TestScorecard(t *testing.T) {
 	}
 }
 
-// TestGuardbandSweepBatchInvariance: the batched sweep engine must be
-// bit-identical to the serial sweep at every batch size — including sizes
-// that split the ambient axis mid-stream, exercising the ThermalSeed
-// handoff across chunk boundaries — and must report its lane counts.
+// TestGuardbandSweepInvariance: every physics field of a GuardbandSweep
+// row, and of a Fig8Sweep row, must be bit-identical to independent
+// per-ambient Implementation.Guardband calls — a sweep is only a loop over
+// separate Algorithm-1 runs.
+func TestGuardbandSweepInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-flow experiment")
+	}
+	c := testContext(t)
+	ambients := []float64{0, 25, 45, 70, 95}
+	sweep, err := c.GuardbandSweep("sha", ambients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig8, err := c.Fig8Sweep("sha", ambients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep) != len(ambients) || len(fig8) != len(ambients) {
+		t.Fatalf("%d sweep and %d fig8sweep rows, want %d", len(sweep), len(fig8), len(ambients))
+	}
+	im25, err := c.Implementation("sha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	im70, err := c.implementationAt("sha", 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePhysics := func(what string, amb float64, got, want BenchResult) {
+		t.Helper()
+		if got.FmaxMHz != want.FmaxMHz || got.BaselineMHz != want.BaselineMHz ||
+			got.GainPct != want.GainPct || got.Iterations != want.Iterations ||
+			got.RiseC != want.RiseC || got.SpreadC != want.SpreadC || got.Converged != want.Converged {
+			t.Fatalf("%s at %g°C diverged from independent runs:\nsweep %+v\nsolo  %+v", what, amb, got, want)
+		}
+	}
+	for i, amb := range ambients {
+		r25, err := im25.Guardband(guardband.DefaultOptions(amb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r70, err := im70.Guardband(guardband.DefaultOptions(amb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePhysics("GuardbandSweep", amb, sweep[i], BenchResult{
+			FmaxMHz: r25.FmaxMHz, BaselineMHz: r25.BaselineMHz, GainPct: r25.GainPct,
+			Iterations: r25.Iterations, RiseC: r25.RiseC, SpreadC: r25.SpreadC,
+			Converged: r25.Converged,
+		})
+		samePhysics("Fig8Sweep", amb, fig8[i], BenchResult{
+			FmaxMHz: r70.FmaxMHz, BaselineMHz: r25.FmaxMHz,
+			GainPct:    (r70.FmaxMHz/r25.FmaxMHz - 1) * 100,
+			Iterations: r70.Iterations, RiseC: r70.RiseC, SpreadC: r70.SpreadC,
+			Converged: r25.Converged && r70.Converged,
+		})
+	}
+	// Hotter ambients must clock lower — the sweep is ordered.
+	for i := 1; i < len(sweep); i++ {
+		if sweep[i].FmaxMHz >= sweep[i-1].FmaxMHz {
+			t.Fatalf("sweep clocks not ordered by ambient: %+v", sweep)
+		}
+	}
+}
+
+// TestGuardbandSweepBatchInvariance: sweeping the ambient axis in one call
+// or split into chunks of any size must give bit-identical rows — no state
+// carries from one ambient's run into the next, whether in one sweep or
+// across sweeps.
 func TestGuardbandSweepBatchInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow experiment")
 	}
 	c := testContext(t)
 	ambients := []float64{0, 25, 45, 70, 95}
-	serial, err := c.GuardbandSweep("sha", ambients)
+	whole, err := c.GuardbandSweep("sha", ambients)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batch := range []int{1, 2, 4, len(ambients)} {
-		var lanes []int
-		c.SweepBatch = batch
-		c.OnBatch = func(n int) { lanes = append(lanes, n) }
-		batched, err := c.GuardbandSweep("sha", ambients)
-		c.SweepBatch = 0
-		c.OnBatch = nil
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batched) != len(serial) {
-			t.Fatalf("batch %d: %d results, want %d", batch, len(batched), len(serial))
-		}
-		for i, r := range batched {
-			s := serial[i]
-			if r.FmaxMHz != s.FmaxMHz || r.BaselineMHz != s.BaselineMHz ||
-				r.GainPct != s.GainPct || r.Iterations != s.Iterations ||
-				r.RiseC != s.RiseC || r.SpreadC != s.SpreadC || r.Converged != s.Converged {
-				t.Fatalf("batch %d at %g°C diverged from serial sweep:\nbatched %+v\nserial  %+v",
-					batch, ambients[i], r, s)
+	if len(whole) != len(ambients) {
+		t.Fatalf("%d rows, want %d", len(whole), len(ambients))
+	}
+	for _, batch := range []int{1, 2, 4} {
+		var chunked []BenchResult
+		for lo := 0; lo < len(ambients); lo += batch {
+			hi := min(lo+batch, len(ambients))
+			rs, err := c.GuardbandSweep("sha", ambients[lo:hi])
+			if err != nil {
+				t.Fatal(err)
 			}
+			chunked = append(chunked, rs...)
 		}
-		if batch > 1 {
-			total := 0
-			for _, n := range lanes {
-				if n > batch {
-					t.Fatalf("batch %d dispatched %d lanes", batch, n)
-				}
-				total += n
-			}
-			if total != len(ambients) {
-				t.Fatalf("batch %d covered %d lanes, want %d", batch, total, len(ambients))
-			}
-			if batched[0].Stats.BatchLanes != 1 {
-				t.Fatalf("batch %d: lane counters missing from Stats", batch)
+		if len(chunked) != len(whole) {
+			t.Fatalf("batch %d: %d rows, want %d", batch, len(chunked), len(whole))
+		}
+		for i, r := range chunked {
+			w := whole[i]
+			if r.FmaxMHz != w.FmaxMHz || r.BaselineMHz != w.BaselineMHz ||
+				r.GainPct != w.GainPct || r.Iterations != w.Iterations ||
+				r.RiseC != w.RiseC || r.SpreadC != w.SpreadC || r.Converged != w.Converged {
+				t.Fatalf("batch %d at %g°C diverged from the whole sweep:\nchunked %+v\nwhole   %+v",
+					batch, ambients[i], r, w)
 			}
 		}
 	}
 }
 
-// TestFig8SweepShape: the batched Fig. 8 axis reports one labelled row per
-// ambient with the D70-over-D25 gain, identical with and without batching.
+// TestFig8SweepShape: the Fig. 8 axis reports one labelled row per ambient
+// with the D70-over-D25 gain.
 func TestFig8SweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-flow experiment")
@@ -457,17 +472,6 @@ func TestFig8SweepShape(t *testing.T) {
 		}
 		if r.FmaxMHz <= 0 || r.BaselineMHz <= 0 {
 			t.Fatalf("row %d missing clocks: %+v", i, r)
-		}
-	}
-	c.SweepBatch = len(ambients)
-	batched, err := c.Fig8Sweep("sha", ambients)
-	c.SweepBatch = 0
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if batched[i].FmaxMHz != serial[i].FmaxMHz || batched[i].GainPct != serial[i].GainPct {
-			t.Fatalf("batched Fig. 8 row %d diverged: %+v vs %+v", i, batched[i], serial[i])
 		}
 	}
 }

@@ -57,8 +57,8 @@ type Options struct {
 	// Implement returns the wrapped context error instead.
 	Ctx context.Context
 	// ThermalPlace configures thermal-aware placement. Unlike the
-	// wall-clock knobs (Router.Workers, sweep batching) these values change
-	// the produced bytes, so they are part of the flow-cache content key.
+	// wall-clock knob Router.Workers, these values change the produced
+	// bytes, so they are part of the flow-cache content key.
 	ThermalPlace ThermalPlace
 }
 
@@ -248,13 +248,6 @@ func BuildGraph(grid *arch.Grid) *route.Graph { return route.BuildGraph(grid) }
 // Guardband runs Algorithm 1 on the implementation at the given ambient.
 func (im *Implementation) Guardband(opts guardband.Options) (*guardband.Result, error) {
 	return guardband.Run(im.Timing, im.Power, im.Thermal, opts)
-}
-
-// GuardbandBatch runs Algorithm 1 at every ambient in lockstep
-// (guardband.RunBatch): one batched STA traversal and one multi-RHS thermal
-// solve per round, lane l bit-identical to Guardband at ambients[l].
-func (im *Implementation) GuardbandBatch(ambients []float64, opts guardband.Options) ([]*guardband.Result, error) {
-	return guardband.RunBatch(im.Timing, im.Power, im.Thermal, ambients, opts)
 }
 
 // WithDevice re-targets the implementation onto another device of the same

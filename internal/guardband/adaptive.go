@@ -84,11 +84,6 @@ func RunAdaptive(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, profile [
 		if err != nil {
 			return nil, fmt.Errorf("guardband: epoch at %g°C: %w", pt.AmbientC, err)
 		}
-		// Consecutive epochs differ only in ambient, so each epoch's
-		// converged map is an excellent warm start for the next one. The
-		// seed cannot change any result (the direct solver ignores it and
-		// the fallback converges to a fixed tolerance), only sweep counts.
-		o.ThermalSeed = r.SeedTemps
 		res.Epochs = append(res.Epochs, Epoch{ProfilePoint: pt, FmaxMHz: r.FmaxMHz, RiseC: r.RiseC})
 		res.Stats.Add(r.Stats)
 		totalH += pt.Hours

@@ -146,7 +146,6 @@ type energyProbeOut struct {
 	iterations    int
 	converged     bool
 	temps         []float64
-	seedTemps     []float64
 }
 
 // RunEnergy executes the min-energy objective: bisect the minimum supply
@@ -190,11 +189,6 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 		res.TargetMHz = worst.FmaxMHz
 	}
 
-	// seed chains each probe's converged solver output into the next
-	// probe's first thermal solve. Like Options.ThermalSeed this is a pure
-	// accelerator: the direct solver ignores it and the iterative fallback
-	// converges to the same fixed tolerance, so results are seed-independent.
-	var seed []float64
 	probeN := 0
 	probe := func(vdd, loV, hiV float64) (*energyProbeOut, error) {
 		probeN++
@@ -218,11 +212,10 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 				return nil, fmt.Errorf("guardband: rail %.3f V: %w", vdd, err)
 			}
 		}
-		out, err := convergeAtTarget(m, res.TargetMHz, opts, seed, &res.Stats)
+		out, err := convergeAtTarget(m, res.TargetMHz, opts, &res.Stats)
 		if err != nil {
 			return nil, err
 		}
-		seed = out.seedTemps
 		res.Iterations += out.iterations
 		if opts.OnProbe != nil {
 			opts.OnProbe(EnergyProbe{
@@ -310,12 +303,10 @@ func RunEnergy(opts EnergyOptions) (*EnergyResult, error) {
 // power model, so pinning f reduces the loop to power→thermal; one final
 // margined STA probe then decides whether the rail actually clocks fMHz.
 // Cancellation, fault injection, and kernel accounting mirror Run.
-func convergeAtTarget(m EnergyModels, fMHz float64, opts EnergyOptions,
-	thermalSeed []float64, stats *Stats) (*energyProbeOut, error) {
+func convergeAtTarget(m EnergyModels, fMHz float64, opts EnergyOptions, stats *Stats) (*energyProbeOut, error) {
 	nTiles := m.Timing.PL.Grid.NumTiles()
 	temps := sta.UniformTemps(nTiles, opts.AmbientC)
 	out := &energyProbeOut{}
-	prevSolved := thermalSeed
 
 	for iter := 1; iter <= opts.MaxIters; iter++ {
 		if opts.Ctx != nil {
@@ -337,24 +328,12 @@ func convergeAtTarget(m EnergyModels, fMHz float64, opts EnergyOptions,
 		stats.PowerNs += time.Since(t0).Nanoseconds()
 
 		t0 = time.Now()
-		var next []float64
-		var err error
-		var sst hotspot.SolveStats
-		if opts.Reference {
-			next, err = m.Thermal.SolveReference(p, opts.AmbientC)
-		} else {
-			next, err = m.Thermal.SolveSeeded(p, opts.AmbientC, prevSolved, &sst)
-		}
+		next, err := solveAt(m.Thermal, p, opts.AmbientC, opts.Reference)
 		stats.ThermalSolves++
-		stats.ThermalSweeps += sst.Sweeps
-		if sst.Direct {
-			stats.ThermalDirect++
-		}
 		stats.ThermalNs += time.Since(t0).Nanoseconds()
 		if err != nil {
 			return nil, fmt.Errorf("guardband: %w", err)
 		}
-		prevSolved = next
 		if opts.UniformT {
 			next = sta.UniformTemps(nTiles, hotspot.Max(next))
 		}
@@ -404,7 +383,6 @@ func convergeAtTarget(m EnergyModels, fMHz float64, opts EnergyOptions,
 	out.fmaxMHz = rep.FmaxMHz
 	out.powerUW = total
 	out.temps = temps
-	out.seedTemps = prevSolved
 	// Feasibility follows the repo's reporting convention: an unconverged
 	// probe still reports its last iterate (flagged via Converged) rather
 	// than poisoning the search.

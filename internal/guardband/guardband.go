@@ -40,17 +40,10 @@ type Options struct {
 	// loop. Used for ablation.
 	FreezeLeakage bool
 	// Reference, when set, routes every kernel through the seed
-	// implementations (sta.AnalyzeReference and hotspot.SolveReference,
-	// without warm starting): the "before" half of the perf-regression
-	// harness and the golden path the equivalence tests compare against.
+	// implementations (sta.AnalyzeReference and hotspot.SolveReference):
+	// the "before" half of the perf-regression harness and the golden path
+	// the equivalence tests compare against.
 	Reference bool
-	// ThermalSeed, when non-nil, warm-starts the first iteration's thermal
-	// solve (typically the SeedTemps of a run at a nearby ambient). The
-	// default direct solver ignores the seed entirely, and the iterative
-	// fallback converges to the same fixed tolerance, so results are
-	// identical either way — only the sweep count changes. Ignored under
-	// Reference.
-	ThermalSeed []float64
 	// Ctx, when non-nil, is checked at the top of every Algorithm-1
 	// iteration: a cancelled or expired context stops the run between
 	// iterations and Run returns the (wrapped) context error. A nil Ctx
@@ -68,8 +61,8 @@ type Options struct {
 type Progress struct {
 	// Iteration counts from 1.
 	Iteration int
-	// AmbientC is the ambient temperature of the run (the lane's ambient in
-	// a batched sweep, where iterations from several lanes interleave).
+	// AmbientC is the ambient temperature of the run, so a stream that
+	// carries several runs (a sweep) stays attributable.
 	AmbientC float64
 	// FmaxMHz is the timing result at the iteration's input temperatures.
 	FmaxMHz float64
@@ -119,10 +112,6 @@ type Result struct {
 	// Stats accounts the kernel work (probes, solves, wall time) the run
 	// performed.
 	Stats Stats
-	// SeedTemps is the raw solver output of the final iteration (before any
-	// UniformT collapse) — the right vector to pass as ThermalSeed to a run
-	// at a nearby ambient.
-	SeedTemps []float64
 }
 
 // normalize fills unset options with the paper's defaults.
@@ -158,6 +147,14 @@ func analyzeAt(an *sta.Analyzer, temps []float64, reference bool) sta.Report {
 	return an.Analyze(temps)
 }
 
+// solveAt dispatches a thermal solve to the direct or seed solver.
+func solveAt(th *hotspot.Model, powerUW []float64, ambientC float64, reference bool) ([]float64, error) {
+	if reference {
+		return th.SolveReference(powerUW, ambientC)
+	}
+	return th.Solve(powerUW, ambientC)
+}
+
 // runWithBaseline is Run with the conventional worst-case STA precomputed:
 // the baseline depends only on the implementation and T_worst, so callers
 // sweeping ambient conditions (RunAdaptive) analyze it once and share it.
@@ -168,32 +165,6 @@ func runWithBaseline(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts 
 	// Line 1-2: start from ambient everywhere.
 	temps := sta.UniformTemps(nTiles, opts.AmbientC)
 	res := &Result{}
-
-	// The compiled path probes through the incremental analyzer: between
-	// Algorithm-1 iterations only the temperature map moves, so each probe
-	// re-prices only the (kind, tile) pairs whose tile actually changed and
-	// re-propagates from the affected frontier. Every probe is bit-identical
-	// to sta.Analyze (the equivalence tests hold it to ==), so Reference
-	// comparisons and cached results are unaffected; when the thermal solve
-	// moves the whole map, the layer falls back to the dense sweep on its
-	// own.
-	var inc *sta.Incremental
-	if !opts.Reference {
-		inc = sta.NewIncremental(an)
-	}
-	probe := func(t []float64) sta.Report {
-		if opts.Reference {
-			return an.AnalyzeReference(t)
-		}
-		return inc.Analyze(t)
-	}
-
-	// prevSolved is the raw solver output of the previous iteration (before
-	// any UniformT collapse); it warm-starts the iterative thermal fallback,
-	// which then converges in a handful of sweeps because consecutive
-	// Algorithm-1 iterates differ by at most a few degrees. The first
-	// iteration can be seeded from a run at a nearby ambient.
-	prevSolved := opts.ThermalSeed
 
 	var rep sta.Report
 	for iter := 1; iter <= opts.MaxIters; iter++ {
@@ -214,7 +185,7 @@ func runWithBaseline(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts 
 		res.Iterations = iter
 		// Line 4: full-netlist timing at the current temperature map.
 		t0 := time.Now()
-		rep = probe(temps)
+		rep = analyzeAt(an, temps, opts.Reference)
 		res.Stats.STAProbes++
 		res.Stats.STANs += time.Since(t0).Nanoseconds()
 		f := rep.FmaxMHz
@@ -230,24 +201,12 @@ func runWithBaseline(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts 
 
 		// Line 7: thermal simulation.
 		t0 = time.Now()
-		var next []float64
-		var err error
-		var sst hotspot.SolveStats
-		if opts.Reference {
-			next, err = th.SolveReference(p, opts.AmbientC)
-		} else {
-			next, err = th.SolveSeeded(p, opts.AmbientC, prevSolved, &sst)
-		}
+		next, err := solveAt(th, p, opts.AmbientC, opts.Reference)
 		res.Stats.ThermalSolves++
-		res.Stats.ThermalSweeps += sst.Sweeps
-		if sst.Direct {
-			res.Stats.ThermalDirect++
-		}
 		res.Stats.ThermalNs += time.Since(t0).Nanoseconds()
 		if err != nil {
 			return nil, fmt.Errorf("guardband: %w", err)
 		}
-		prevSolved = next
 		if opts.UniformT {
 			next = sta.UniformTemps(nTiles, hotspot.Max(next))
 		}
@@ -283,7 +242,7 @@ func runWithBaseline(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts 
 		margined[i] = temps[i] + opts.DeltaTC
 	}
 	t0 := time.Now()
-	final := probe(margined)
+	final := analyzeAt(an, margined, opts.Reference)
 	res.Stats.STAProbes++
 	res.Stats.STANs += time.Since(t0).Nanoseconds()
 
@@ -296,6 +255,5 @@ func runWithBaseline(an *sta.Analyzer, pm *power.Model, th *hotspot.Model, opts 
 	res.RiseC = hotspot.Mean(temps) - opts.AmbientC
 	res.SpreadC = hotspot.Spread(temps)
 	res.Breakdown = final.Breakdown
-	res.SeedTemps = prevSolved
 	return res, nil
 }

@@ -265,50 +265,9 @@ func TestAdaptiveBaselineEpochIndependent(t *testing.T) {
 	}
 }
 
-// TestThermalSeedInvariance: seeding a run with another ambient's converged
-// map must not change a single reported number — the default direct solver
-// ignores the seed entirely, and the iterative fallback converges to the
-// same fixed tolerance regardless of its starting point.
-func TestThermalSeedInvariance(t *testing.T) {
-	t.Parallel()
-	f := setup(t)
-	warm25, err := Run(f.an, f.pm, f.th, DefaultOptions(25))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm25.SeedTemps) != f.an.PL.Grid.NumTiles() {
-		t.Fatalf("SeedTemps has %d entries, want one per tile (%d)",
-			len(warm25.SeedTemps), f.an.PL.Grid.NumTiles())
-	}
-	cold70, err := Run(f.an, f.pm, f.th, DefaultOptions(70))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions(70)
-	opts.ThermalSeed = warm25.SeedTemps
-	seeded70, err := Run(f.an, f.pm, f.th, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seeded70.FmaxMHz != cold70.FmaxMHz ||
-		seeded70.BaselineMHz != cold70.BaselineMHz ||
-		seeded70.Iterations != cold70.Iterations ||
-		seeded70.RiseC != cold70.RiseC ||
-		seeded70.SpreadC != cold70.SpreadC ||
-		seeded70.Converged != cold70.Converged {
-		t.Fatalf("seeded run diverged: %+v vs %+v", seeded70, cold70)
-	}
-	for i := range cold70.Temps {
-		if seeded70.Temps[i] != cold70.Temps[i] {
-			t.Fatalf("seeded temperature map diverged at tile %d: %g vs %g",
-				i, seeded70.Temps[i], cold70.Temps[i])
-		}
-	}
-}
-
-// TestAdaptiveEpochsMatchIndependentRuns: the cross-epoch warm start in
-// RunAdaptive must leave every epoch bit-identical to a standalone Run at
-// the same ambient.
+// TestAdaptiveEpochsMatchIndependentRuns: sharing one baseline probe across
+// RunAdaptive's epochs must leave every epoch bit-identical to a standalone
+// Run at the same ambient.
 func TestAdaptiveEpochsMatchIndependentRuns(t *testing.T) {
 	t.Parallel()
 	f := setup(t)

@@ -33,8 +33,8 @@ type cholFactor struct {
 // factorize builds and factors the conductance matrix of a w×h die layer
 // with vertical conductance gVert per tile and lateral conductance gLat per
 // adjacent pair. It returns nil if the matrix is not positive definite
-// (cannot happen for positive conductances; the caller then falls back to
-// the iterative solver).
+// (cannot happen for positive conductances; the model then runs the
+// reference relaxation).
 func factorize(w, h int, gVert, gLat float64) *cholFactor {
 	n := w * h
 	b := w

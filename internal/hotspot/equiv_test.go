@@ -81,17 +81,17 @@ func TestDirectSolvesTheNetworkExactly(t *testing.T) {
 	}
 }
 
-// TestIterativeFallbackBitIdenticalToReference: the optimized Gauss-Seidel
-// fallback (precomputed neighbor lists and denominators) performs exactly
-// the seed implementation's arithmetic, so a cold start must agree bit for
-// bit — not merely within tolerance.
+// TestIterativeFallbackBitIdenticalToReference: a model without a
+// factorization falls back to the seed Gauss-Seidel relaxation, so on every
+// grid shape its Solve must agree with SolveReference bit for bit — not
+// merely within tolerance.
 func TestIterativeFallbackBitIdenticalToReference(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(11))
 	for _, g := range equivGrids {
 		w, h := g[0], g[1]
-		m := model(t, w, h, 30000)
-		m.DisableDirect = true
+		m := *model(t, w, h, 30000)
+		m.fact = nil
 		p := randomPower(rng, w*h)
 		opt, err := m.Solve(p, 25)
 		if err != nil {
@@ -103,7 +103,7 @@ func TestIterativeFallbackBitIdenticalToReference(t *testing.T) {
 		}
 		for i := range ref {
 			if opt[i] != ref[i] {
-				t.Fatalf("%dx%d: tile %d diverged: optimized %v, reference %v", w, h, i, opt[i], ref[i])
+				t.Fatalf("%dx%d: tile %d diverged: fallback %v, reference %v", w, h, i, opt[i], ref[i])
 			}
 		}
 	}
@@ -135,7 +135,7 @@ func TestDirectMatchesConvergedGaussSeidel(t *testing.T) {
 		}
 
 		tight := *m
-		tight.fact = nil // copy runs iteratively without copying the pool
+		tight.fact = nil // the copy runs the reference relaxation
 		tight.Tolerance = 1e-12
 		tight.MaxSweeps = 2000000
 		ref, err := tight.SolveReference(p, 25)
@@ -148,89 +148,8 @@ func TestDirectMatchesConvergedGaussSeidel(t *testing.T) {
 	}
 }
 
-// TestWarmStartNeverChangesConvergedResults: seeding the iterative solver
-// from an unrelated previous map must land on the same converged solution
-// (within the relaxation tolerance) as a cold start, and must never alter
-// the direct path at all.
-func TestWarmStartNeverChangesConvergedResults(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(17))
-	for _, g := range equivGrids {
-		w, h := g[0], g[1]
-		n := w * h
-		m := model(t, w, h, 35000)
-
-		pa := randomPower(rng, n)
-		pb := randomPower(rng, n)
-		seedMap, err := m.Solve(pa, 25)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Direct path: the seed must be ignored entirely.
-		d1, err := m.SolveSeeded(pb, 25, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d2, err := m.SolveSeeded(pb, 25, seedMap, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if maxAbsDiff(d1, d2) != 0 {
-			t.Fatalf("%dx%d: warm start changed the direct solution", w, h)
-		}
-
-		// Iterative path: cold and warm starts converge to the same map.
-		m.DisableDirect = true
-		var cold, warm SolveStats
-		c, err := m.SolveSeeded(pb, 25, nil, &cold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wstart, err := m.SolveSeeded(pb, 25, seedMap, &warm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.DisableDirect = false
-		if d := maxAbsDiff(c, wstart); d > 100*m.Tolerance {
-			t.Fatalf("%dx%d: warm start moved the converged map by %g °C", w, h, d)
-		}
-		if cold.Direct || warm.Direct {
-			t.Fatal("iterative solves must not report the direct path")
-		}
-		if cold.Sweeps <= 0 || warm.Sweeps <= 0 {
-			t.Fatal("iterative solves must report their sweep counts")
-		}
-		// Re-seeding with the answer itself must converge almost instantly.
-		var again SolveStats
-		m.DisableDirect = true
-		if _, err := m.SolveSeeded(pb, 25, c, &again); err != nil {
-			t.Fatal(err)
-		}
-		m.DisableDirect = false
-		if again.Sweeps > 3 {
-			t.Fatalf("%dx%d: re-seeding with the solution still took %d sweeps", w, h, again.Sweeps)
-		}
-	}
-}
-
-// TestSolveStatsReportDirect: the default path reports Direct with zero
-// sweeps.
-func TestSolveStatsReportDirect(t *testing.T) {
-	t.Parallel()
-	m := model(t, 6, 4, 20000)
-	var st SolveStats
-	if _, err := m.SolveSeeded(make([]float64, 24), 25, nil, &st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Direct || st.Sweeps != 0 {
-		t.Fatalf("default solve should be direct with 0 sweeps, got %+v", st)
-	}
-}
-
 // TestLiteralModelStillSolves: a Model assembled by struct literal (no
-// NewModel, so no factorization or neighbor lists) must still solve via the
-// seed path.
+// NewModel, so no factorization) must still solve via the seed path.
 func TestLiteralModelStillSolves(t *testing.T) {
 	t.Parallel()
 	m := &Model{W: 4, H: 3, RSinkKPerW: 2, RVertKPerW: 1800, RLatKPerW: 450,
@@ -247,5 +166,29 @@ func TestLiteralModelStillSolves(t *testing.T) {
 	}
 	if maxAbsDiff(got, ref) != 0 {
 		t.Fatal("literal model must run the reference path")
+	}
+}
+
+// TestInfluenceLiteralModelMatchesDirect: without a factorization,
+// Influence relaxes a unit impulse through the reference sweeps; tightly
+// converged, that column must match the factorized one.
+func TestInfluenceLiteralModelMatchesDirect(t *testing.T) {
+	t.Parallel()
+	m := model(t, 5, 4, 30000)
+	lit := &Model{W: m.W, H: m.H, RSinkKPerW: m.RSinkKPerW, RVertKPerW: m.RVertKPerW,
+		RLatKPerW: m.RLatKPerW, Tolerance: 1e-12, MaxSweeps: 2000000}
+	n := m.W * m.H
+	direct := make([]float64, n)
+	relaxed := make([]float64, n)
+	for _, src := range []int{0, 7, n - 1} {
+		if err := m.Influence(src, direct); err != nil {
+			t.Fatal(err)
+		}
+		if err := lit.Influence(src, relaxed); err != nil {
+			t.Fatal(err)
+		}
+		if d := maxAbsDiff(direct, relaxed); d > 1e-6 {
+			t.Fatalf("source %d: relaxed column is %g K/W from the direct one", src, d)
+		}
 	}
 }

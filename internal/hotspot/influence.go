@@ -13,9 +13,8 @@ import "fmt"
 // Influence fills out (length W·H, row-major grid order) with column src
 // of K⁻¹: out[j] is the steady-state temperature rise at tile j, in kelvin
 // per watt injected at tile src, measured above the spreader temperature.
-// The factorized path answers in one banded substitution; models without a
-// factorization fall back to the iterative relaxation on a unit-impulse
-// power map.
+// The factorized path answers in one banded substitution; a struct-literal
+// model runs the reference relaxation on a unit-impulse power map.
 func (m *Model) Influence(src int, out []float64) error {
 	n := m.W * m.H
 	if src < 0 || src >= n {
@@ -24,8 +23,7 @@ func (m *Model) Influence(src int, out []float64) error {
 	if len(out) != n {
 		return fmt.Errorf("hotspot: influence output length %d != %d tiles", len(out), n)
 	}
-	if m.fact != nil && !m.DisableDirect {
-		f := m.fact
+	if f := m.fact; f != nil {
 		rhs := f.rhsPool.Get().([]float64)
 		for s, g := range f.perm {
 			if int(g) == src {
@@ -41,18 +39,12 @@ func (m *Model) Influence(src int, out []float64) error {
 		f.rhsPool.Put(rhs) //nolint:staticcheck // slice header allocation is negligible
 		return nil
 	}
-	// Iterative fallback: a unit impulse is 1 W = 1e6 µW at src with the
+	// Reference relaxation: a unit impulse is 1 W = 1e6 µW at src with the
 	// spreader held at zero, so the relaxation converges straight onto the
 	// rise field.
 	power := make([]float64, n)
 	power[src] = 1e6
-	var temps []float64
-	var err error
-	if m.nbrs == nil {
-		temps, err = m.referenceSweeps(power, 0, nil)
-	} else {
-		temps, err = m.solveIterative(power, 0, nil, nil)
-	}
+	temps, err := m.referenceSweeps(power, 0)
 	if err != nil {
 		return err
 	}

@@ -75,8 +75,8 @@ type Event struct {
 	// "thermal") and a streaming consumer needs to tell them apart.
 	Phase     string `json:"phase,omitempty"`
 	Iteration int    `json:"iteration,omitempty"`
-	// AmbientC attributes the iteration to its ambient lane — in a batched
-	// sweep, iterations from several ambients interleave in one stream.
+	// AmbientC attributes the iteration to its ambient — a sweep job
+	// streams the iterations of every ambient it runs.
 	AmbientC  float64 `json:"ambient_c,omitempty"`
 	FmaxMHz   float64 `json:"fmax_mhz,omitempty"`
 	MaxDeltaC float64 `json:"max_delta_c,omitempty"`

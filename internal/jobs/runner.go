@@ -31,19 +31,15 @@ type RunnerConfig struct {
 	// each flow build (0 = GOMAXPROCS, 1 = serial). Byte-identical results
 	// for every value — a wall-clock knob only, excluded from cache keys.
 	RouteWorkers int
-	// SweepBatch sets how many ambient lanes sweep jobs run in lockstep
-	// through the batched guardband engine (<= 1 = serial). Per-lane
-	// results are bit-identical to the serial engine, so like RouteWorkers
-	// this is a wall-clock knob only, excluded from Spec and the dedup key.
-	SweepBatch int
 	// Benchmarks restricts the suite used by figure jobs (nil = the full
 	// Table II suite).
 	Benchmarks []string
 	// FlowCacheDir spills the content-keyed place-and-route cache to disk
 	// (empty = memory only).
 	FlowCacheDir string
-	// Obs, when non-nil, receives the runner's metrics (the per-dispatch
-	// sweep-lane histogram).
+	// Obs is accepted for source compatibility with existing callers; the
+	// runner registers no metrics of its own (the Manager's Registry
+	// carries the serving metrics).
 	Obs *obs.Registry
 }
 
@@ -53,31 +49,24 @@ type RunnerConfig struct {
 // and progress callback. Both shared structures are safe for concurrent
 // use, so a multi-worker Manager can run jobs in parallel.
 type Runner struct {
-	cfg        RunnerConfig
-	kit        *techmodel.Kit
-	arch       coffe.Params
-	lib        *thermarch.Library
-	cache      *flow.Cache
-	sweepLanes *obs.Histogram
+	cfg   RunnerConfig
+	kit   *techmodel.Kit
+	arch  coffe.Params
+	lib   *thermarch.Library
+	cache *flow.Cache
 }
 
 // NewRunner builds the shared state once.
 func NewRunner(cfg RunnerConfig) *Runner {
 	kit := techmodel.Default22nm()
 	arch := coffe.DefaultParams()
-	r := &Runner{
+	return &Runner{
 		cfg:   cfg,
 		kit:   kit,
 		arch:  arch,
 		lib:   thermarch.NewLibrary(kit, arch),
 		cache: flow.NewCache(cfg.FlowCacheDir),
 	}
-	if cfg.Obs != nil {
-		r.sweepLanes = cfg.Obs.Histogram("tafpgad_sweep_lanes",
-			"Lanes per batched guardband dispatch of sweep jobs.",
-			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
-	}
-	return r
 }
 
 // Cache exposes the shared implementation cache so the daemon can serve
@@ -104,12 +93,8 @@ func (r *Runner) context(ctx context.Context, emit func(Event)) *experiments.Con
 	}
 	c.Workers = r.cfg.BenchWorkers
 	c.RouteWorkers = r.cfg.RouteWorkers
-	c.SweepBatch = r.cfg.SweepBatch
 	c.Benchmarks = r.cfg.Benchmarks
 	c.Ctx = ctx
-	if h := r.sweepLanes; h != nil {
-		c.OnBatch = func(lanes int) { h.Observe(float64(lanes)) }
-	}
 	if emit != nil {
 		c.OnProgress = func(bench string, p guardband.Progress) {
 			// Compare-style experiments label progress "<bench>/<phase>";

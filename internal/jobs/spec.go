@@ -25,7 +25,7 @@ const (
 	// KindGuardband runs Algorithm 1 on one benchmark at one ambient.
 	KindGuardband Kind = "guardband"
 	// KindSweep runs Algorithm 1 on one benchmark across an ambient list,
-	// warm-starting each ambient from the previous one.
+	// returning one row per ambient in list order.
 	KindSweep Kind = "sweep"
 	// KindFigure reproduces one of the paper's benchmark-suite figures
 	// (fig6, fig7, fig8).

@@ -140,29 +140,31 @@ func ParseBLIF(r io.Reader) (*Netlist, error) {
 		pending[name] = true
 		return id
 	}
-	define := func(name string, t BlockType, inputs []int, truth uint64) int {
+	define := func(name string, t BlockType, inputs []int, truth uint64) error {
 		if id, ok := ids[name]; ok && pending[name] {
 			n.Blocks[id].Type = t
 			n.Blocks[id].Inputs = inputs
 			n.Blocks[id].Truth = truth
 			delete(pending, name)
-			return id
+			return nil
 		} else if ok {
 			// Re-definition of a declared input or a duplicate driver.
 			if t == Input {
-				return id
+				return nil
 			}
-			panic(fmt.Sprintf("blif: net %s has two drivers", name))
+			return fmt.Errorf("blif: net %s has two drivers", name)
 		}
-		id := n.Add(t, name, inputs, truth)
-		ids[name] = id
-		return id
+		ids[name] = n.Add(t, name, inputs, truth)
+		return nil
 	}
 
-	var perr error
 	for _, st := range stmts {
 		lines := strings.Split(st, "\n")
 		fields := strings.Fields(lines[0])
+		if len(fields) == 0 {
+			// A dangling line continuation at the end of the file.
+			continue
+		}
 		switch fields[0] {
 		case ".model":
 			if len(fields) > 1 {
@@ -170,7 +172,9 @@ func ParseBLIF(r io.Reader) (*Netlist, error) {
 			}
 		case ".inputs":
 			for _, f := range fields[1:] {
-				define(f, Input, nil, 0)
+				if err := define(f, Input, nil, 0); err != nil {
+					return nil, err
+				}
 				delete(pending, f)
 			}
 		case ".outputs":
@@ -200,17 +204,24 @@ func ParseBLIF(r io.Reader) (*Netlist, error) {
 				expandCube(cf[0], 0, 0, &truth)
 			}
 			if strings.HasPrefix(outName, "out_") {
-				define(outName, Output, inIDs[:1], 0)
+				if len(inIDs) == 0 {
+					return nil, fmt.Errorf("blif: output pad %s has no driver", outName)
+				}
+				if err := define(outName, Output, inIDs[:1], 0); err != nil {
+					return nil, err
+				}
 				n.Blocks[ids[outName]].Name = strings.TrimPrefix(outName, "out_")
-			} else {
-				define(outName, LUT, inIDs, truth)
+			} else if err := define(outName, LUT, inIDs, truth); err != nil {
+				return nil, err
 			}
 		case ".latch":
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("blif: malformed .latch %q", lines[0])
 			}
 			d := ensure(fields[1])
-			define(fields[2], FF, []int{d}, 0)
+			if err := define(fields[2], FF, []int{d}, 0); err != nil {
+				return nil, err
+			}
 		case ".subckt":
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("blif: malformed .subckt %q", lines[0])
@@ -243,14 +254,13 @@ func ParseBLIF(r io.Reader) (*Netlist, error) {
 			if outName == "" {
 				return nil, fmt.Errorf("blif: subckt without out pin")
 			}
-			define(outName, t, inIDs, 0)
+			if err := define(outName, t, inIDs, 0); err != nil {
+				return nil, err
+			}
 		case ".end":
 		default:
 			return nil, fmt.Errorf("blif: unsupported directive %q", fields[0])
 		}
-	}
-	if perr != nil {
-		return nil, perr
 	}
 	if err := n.Freeze(); err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package netlist
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -233,12 +234,37 @@ func TestParseBLIFRejectsGarbage(t *testing.T) {
 		".names a b\n0- 0\n",          // unsupported off-set cube
 		".subckt unknown in0=a out=b", // unknown macro
 		".latch a",                    // malformed latch
+		".names out_o",                // output pad without a driver
 		".frobnicate x",
 	}
 	for i, s := range bad {
 		if _, err := ParseBLIF(bytes.NewBufferString(".model m\n.inputs a\n.outputs o\n" + s + "\n.end\n")); err == nil {
 			t.Fatalf("case %d: expected parse error", i)
 		}
+	}
+}
+
+// TestParseBLIFDuplicateDriver: a net driven twice is a malformed netlist,
+// reported as an error rather than a panic.
+func TestParseBLIFDuplicateDriver(t *testing.T) {
+	for name, body := range map[string]string{
+		"names": ".names a y\n1 1\n.names a y\n0 1\n",
+		"latch": ".latch a q\n.latch a q\n",
+	} {
+		src := ".model m\n.inputs a\n.outputs o\n" + body + ".end\n"
+		_, err := ParseBLIF(bytes.NewBufferString(src))
+		if err == nil || !strings.Contains(err.Error(), "two drivers") {
+			t.Fatalf("%s: want a two-drivers error, got %v", name, err)
+		}
+	}
+}
+
+// TestParseBLIFDanglingContinuation: a trailing line continuation leaves an
+// empty statement, which the parser skips.
+func TestParseBLIFDanglingContinuation(t *testing.T) {
+	src := ".model m\n.inputs a\n.names a out_o\n1 1\n.end\n\\\n"
+	if _, err := ParseBLIF(bytes.NewBufferString(src)); err != nil {
+		t.Fatal(err)
 	}
 }
 

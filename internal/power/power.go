@@ -118,19 +118,8 @@ func (m *Model) buildDynamic() {
 // temperatures temps (leakage is temperature-dependent; dynamic power
 // scales linearly with frequency, as the paper scales the COFFE numbers).
 func (m *Model) Vector(fMHz float64, temps []float64) []float64 {
-	return m.VectorInto(fMHz, temps, nil)
-}
-
-// VectorInto is Vector with a caller-owned destination: when dst has the
-// tile count it is overwritten and returned, otherwise a fresh vector is
-// allocated. Every entry is the same expression Vector computes, so reusing
-// a buffer (the batched guardband loop re-evaluates power every lockstep
-// round) cannot change a single bit of the result.
-func (m *Model) VectorInto(fMHz float64, temps, dst []float64) []float64 {
 	grid := m.PL.Grid
-	if len(dst) != grid.NumTiles() {
-		dst = make([]float64, grid.NumTiles())
-	}
+	dst := make([]float64, grid.NumTiles())
 	for tile := 0; tile < grid.NumTiles(); tile++ {
 		dst[tile] = m.dynPerMHz[tile]*fMHz + m.Dev.TileLeak(grid.ClassAt(tile), temps[tile])
 	}

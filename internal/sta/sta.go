@@ -154,13 +154,7 @@ func (a *Analyzer) Analyze(temps []float64) Report {
 	a.fillTermVals(temps, sc.termVal)
 	a.seedArrivals(temps, sc.arrival)
 	a.propagate(temps, sc.arrival, sc.termVal, sc.worstIn, sc.worstEdge)
-	return a.finish(temps, sc)
-}
 
-// finish runs the endpoint scan, the hard-block constraints, and the
-// critical-path trace over an already-propagated working set. It is a pure
-// function of (temps, sc), shared by Analyze and the incremental analyzer.
-func (a *Analyzer) finish(temps []float64, sc *analyzeScratch) Report {
 	dev := a.Dev
 	c := a.comp
 	arrival, worstIn, worstEdge, vals := sc.arrival, sc.worstIn, sc.worstEdge, sc.termVal

@@ -25,11 +25,6 @@
 #               value; the effective count is recorded in the JSON so a
 #               wall-clock number is never compared across machine shapes
 #               unknowingly.
-#   SWEEP_BATCH=  lane width recorded for the inner suite's batched sweep
-#               pair (default 11, the full 0:100:10 ambient axis both sweep
-#               benchmarks traverse). Per-lane results are bit-identical at
-#               every width; like route_workers this is recorded in the JSON
-#               so the speedup is never read without its batch width.
 #
 # The optimized and seed kernels live in the same binary (Analyze vs
 # AnalyzeReference, Solve vs SolveReference, Place vs PlaceReference, Route
@@ -65,19 +60,15 @@ esac
 COUNT="${1:-3}"
 
 ROUTE_WORKERS_JSON=""
-SWEEP_BATCH_JSON=""
 case "$SUITE" in
 inner)
-	BENCH='BenchmarkHotspotSolve|BenchmarkSTAAnalyze|BenchmarkSTAIncremental|BenchmarkSTASlacks|BenchmarkGuardbandRun|BenchmarkGuardbandSweep|BenchmarkMinEnergy'
+	BENCH='BenchmarkHotspotSolve|BenchmarkSTAAnalyze|BenchmarkSTASlacks|BenchmarkGuardbandRun|BenchmarkMinEnergy'
 	BENCHTIME="${BENCHTIME:-10x}"
 	OUT="${OUT:-BENCH_inner_loop.json}"
 	# MinEnergySearch (one VddLab sharing per-rail derivations across the
 	# ambient axis) is paired against the naive per-probe rebuild; the
 	# physics is bit-identical (TestMinEnergyBenchmarkAgreement).
-	PAIRS='HotspotSolve=HotspotSolveReference,HotspotSolveIterative=HotspotSolveReference,STAAnalyze=STAAnalyzeReference,STAIncrementalLocal=STAAnalyzeLocal,GuardbandRun=GuardbandRunReference,GuardbandSweepBatch=GuardbandSweepSerial,MinEnergySearch=MinEnergyRebuild'
-	# The batched sweep runs at full width (one lane per ambient of the
-	# 0:100:10 axis); record the width next to the speedup.
-	SWEEP_BATCH_JSON="${SWEEP_BATCH:-11}"
+	PAIRS='HotspotSolve=HotspotSolveReference,STAAnalyze=STAAnalyzeReference,GuardbandRun=GuardbandRunReference,MinEnergySearch=MinEnergyRebuild'
 	;;
 flow)
 	BENCH='BenchmarkPlace|BenchmarkRoute|BenchmarkFlowBuild|BenchmarkThermalPlace'
@@ -109,7 +100,7 @@ go test -run '^$' \
 	-bench "$BENCH" \
 	-benchmem -benchtime="$BENCHTIME" -count="$COUNT" . | tee "$RAW" >&2
 
-awk -v count="$COUNT" -v benchtime="$BENCHTIME" -v suite="$SUITE" -v pairspec="$PAIRS" -v routeworkers="$ROUTE_WORKERS_JSON" -v sweepbatch="$SWEEP_BATCH_JSON" '
+awk -v count="$COUNT" -v benchtime="$BENCHTIME" -v suite="$SUITE" -v pairspec="$PAIRS" -v routeworkers="$ROUTE_WORKERS_JSON" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)       # strip -GOMAXPROCS suffix
@@ -127,7 +118,6 @@ END {
     printf "  \"count\": %d,\n", count
     printf "  \"benchtime\": \"%s\",\n", benchtime
     if (routeworkers != "") printf "  \"route_workers\": %s,\n", routeworkers
-    if (sweepbatch != "") printf "  \"sweep_batch\": %s,\n", sweepbatch
     printf "  \"benchmarks\": {\n"
     n = 0
     for (k in ns) order[++n] = k

@@ -1,17 +1,17 @@
 #!/bin/sh
 # smoke_daemon.sh — end-to-end smoke test of the tafpgad serving daemon.
 #
-# Starts tafpgad (with batched sweeps enabled) at a small benchmark scale,
-# waits for /readyz, submits the same guardband job twice (the second must
-# coalesce onto the first), polls the job to completion, checks the NDJSON
-# event stream ends on the terminal state, then submits a multi-ambient
-# sweep job and asserts its progress events carry per-lane ambient
-# attribution ("ambient_c"), submits a thermal-place-compare job and asserts
-# its progress events carry per-phase attribution ("phase":"baseline" /
-# "phase":"thermal"), submits a min-energy job and asserts its progress
-# events narrate the Vdd bisection ("vdd_v"), scrapes /metrics for the dedup
-# counters, the per-kind submission counter, and the sweep-lane histogram,
-# and finally SIGTERMs the daemon and asserts a graceful zero-status exit.
+# Starts tafpgad at a small benchmark scale, waits for /readyz, submits the
+# same guardband job twice (the second must coalesce onto the first), polls
+# the job to completion, checks the NDJSON event stream ends on the terminal
+# state, then submits a multi-ambient sweep job and asserts its progress
+# events carry per-ambient attribution ("ambient_c"), submits a
+# thermal-place-compare job and asserts its progress events carry per-phase
+# attribution ("phase":"baseline" / "phase":"thermal"), submits a min-energy
+# job and asserts its progress events narrate the Vdd bisection ("vdd_v"),
+# scrapes /metrics for the dedup counters and the per-kind submission
+# counter, and finally SIGTERMs the daemon and asserts a graceful
+# zero-status exit.
 #
 # Environment:
 #   ADDR=host:port  listen address (default 127.0.0.1:18080)
@@ -39,7 +39,7 @@ echo "building tafpgad..." >&2
 go build -o "$BIN" ./cmd/tafpgad
 
 "$BIN" -addr "$ADDR" -scale "$SCALE" -w 104 -effort 0.3 -bench sha \
-	-sweep-batch 4 -drain 60s >"$LOG" 2>&1 &
+	-drain 60s >"$LOG" 2>&1 &
 PID=$!
 trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG"' EXIT
 
@@ -88,11 +88,10 @@ echo "$EVENTS" | head -1 | grep -q '"state":"queued"' || fail "stream must start
 echo "$EVENTS" | tail -1 | grep -q '"state":"done"' || fail "stream must end done: $EVENTS"
 echo "$EVENTS" | grep -q '"type":"progress"' || fail "stream has no Algorithm-1 progress events: $EVENTS"
 
-# A three-ambient sweep at -sweep-batch 4 dispatches all its lanes in one
-# lockstep batch; each lane's progress events must name its ambient so an
-# interleaved stream stays attributable.
+# A three-ambient sweep streams the progress events of every ambient it
+# runs; each must name its ambient so the stream stays attributable.
 SWEEP_SPEC='{"kind":"sweep","benchmark":"bgm","ambients":[25,45,70]}'
-echo "submitting a batched sweep job..." >&2
+echo "submitting a sweep job..." >&2
 R3="$(curl -fsS "$BASE/v1/jobs" -d "$SWEEP_SPEC")"
 ID3="$(echo "$R3" | grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4)"
 [ -n "$ID3" ] || fail "no job id in sweep response: $R3"
@@ -111,7 +110,7 @@ while :; do
 	sleep 1
 done
 
-echo "checking per-lane ambient attribution in the sweep stream..." >&2
+echo "checking per-ambient attribution in the sweep stream..." >&2
 SWEEP_EVENTS="$(curl -fsS "$BASE/v1/jobs/$ID3/events")"
 echo "$SWEEP_EVENTS" | tail -1 | grep -q '"state":"done"' || fail "sweep stream must end done: $SWEEP_EVENTS"
 for amb in 25 45 70; do
@@ -186,18 +185,12 @@ RAILS="$(echo "$ENERGY_EVENTS" | grep -o '"vdd_v":[0-9.]*' | sort -u | wc -l)"
 
 echo "scraping /metrics..." >&2
 METRICS="$(curl -fsS "$BASE/metrics")"
-# Two batched dispatches: the deduped guardband pair (one single-lane batch)
-# and the sweep job (one three-lane batch) — count 2, lane sum 4. The
-# compare and min-energy jobs run through the serial engine, so the
-# histogram does not move; the per-kind counter attributes all five
-# accepted submissions.
+# The per-kind counter attributes all five accepted submissions.
 for want in \
 	"tafpgad_jobs_submitted_total 5" \
 	"tafpgad_jobs_deduped_total 1" \
 	"tafpgad_jobs_completed_total 4" \
 	"tafpgad_job_duration_seconds_count 4" \
-	"tafpgad_sweep_lanes_count 2" \
-	"tafpgad_sweep_lanes_sum 4" \
 	"tafpgad_jobs_total{kind=\"guardband\"} 2" \
 	"tafpgad_jobs_total{kind=\"sweep\"} 1" \
 	"tafpgad_jobs_total{kind=\"thermal-place-compare\"} 1" \
